@@ -150,7 +150,11 @@ func main() {
 	if store != nil {
 		// Self-monitoring: sample each UE's live MAC/RLC state into the
 		// local store so the agent's own /tsdb endpoints answer windowed
-		// queries without a controller in the loop.
+		// queries without a controller in the loop: one MAC row and one
+		// RLC row per UE per sample.
+		macFields := [...]tsdb.Field{tsdb.FieldCQI, tsdb.FieldMCS, tsdb.FieldRBsUsed, tsdb.FieldTxBits, tsdb.FieldThroughputBps}
+		rlcFields := [...]tsdb.Field{tsdb.FieldBufferBytes, tsdb.FieldSojournMS}
+		node := uint32(*nodeID)
 		go func() {
 			tick := time.NewTicker(*tsdbSample)
 			defer tick.Stop()
@@ -165,22 +169,10 @@ func main() {
 					rnti := uint16(i)
 					_ = cell.WithUE(rnti, func(u *ran.UE) error {
 						ms := u.MACStats()
-						k := tsdb.SeriesKey{Agent: uint32(*nodeID), Fn: sm.IDMACStats, UE: rnti}
-						k.Field = tsdb.FieldCQI
-						store.Append(k, now, float64(ms.CQI))
-						k.Field = tsdb.FieldMCS
-						store.Append(k, now, float64(ms.MCS))
-						k.Field = tsdb.FieldRBsUsed
-						store.Append(k, now, float64(ms.RBsUsed))
-						k.Field = tsdb.FieldTxBits
-						store.Append(k, now, float64(ms.TxBits))
-						k.Field = tsdb.FieldThroughputBps
-						store.Append(k, now, ms.ThroughputBps)
-						k.Fn = sm.IDRLCStats
-						k.Field = tsdb.FieldBufferBytes
-						store.Append(k, now, float64(u.RLC().Backlog()))
-						k.Field = tsdb.FieldSojournMS
-						store.Append(k, now, float64(u.RLC().OldestSojournMS(cell.Now())))
+						mac := [...]float64{float64(ms.CQI), float64(ms.MCS), float64(ms.RBsUsed), float64(ms.TxBits), ms.ThroughputBps}
+						store.AppendRow(node, sm.IDMACStats, rnti, now, macFields[:], mac[:])
+						rlc := [...]float64{float64(u.RLC().Backlog()), float64(u.RLC().OldestSojournMS(cell.Now()))}
+						store.AppendRow(node, sm.IDRLCStats, rnti, now, rlcFields[:], rlc[:])
 						return nil
 					})
 				}

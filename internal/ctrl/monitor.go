@@ -16,6 +16,7 @@ import (
 	"flexric/internal/e2ap"
 	"flexric/internal/server"
 	"flexric/internal/sm"
+	"flexric/internal/telemetry"
 	"flexric/internal/trace"
 	"flexric/internal/tsdb"
 )
@@ -73,6 +74,11 @@ type Monitor struct {
 	indications atomic.Uint64
 	bytesIn     atomic.Uint64
 }
+
+// decodeErrors counts indications dropped because their SM payload
+// failed to decode: a malformed report costs its sender that one
+// report, and the count makes the loss visible at /metrics.
+var decodeErrors = telemetry.NewCounter("ctrl.monitor.decode_errors")
 
 // ingestJob is one indication handed to an ingest pipeline. The payload
 // is a pooled copy (the receive buffer is recycled as soon as the server
@@ -271,39 +277,56 @@ func (m *Monitor) ingestOne(tc trace.Context, agent server.AgentID, fnID uint16,
 	}
 	switch fnID {
 	case sm.IDMACStats:
-		if rep, err := sm.DecodeMACReport(payload); err == nil {
-			m.ingestMAC(tc, agent, rep) // only this shard's UEs, pre-merge
-			m.mu.Lock()
-			if cur := m.mac[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
-				rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
-			}
-			m.mac[agent] = rep
-			m.mu.Unlock()
+		rep, err := sm.DecodeMACReport(payload)
+		if err != nil {
+			decodeErrors.Inc()
+			return
 		}
+		m.ingestMAC(tc, agent, rep) // only this shard's UEs, pre-merge
+		m.mu.Lock()
+		if cur := m.mac[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
+			rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
+		}
+		m.mac[agent] = rep
+		m.mu.Unlock()
 	case sm.IDRLCStats:
-		if rep, err := sm.DecodeRLCReport(payload); err == nil {
-			m.ingestRLC(tc, agent, rep)
-			m.mu.Lock()
-			if cur := m.rlc[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
-				rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
-			}
-			m.rlc[agent] = rep
-			m.mu.Unlock()
+		rep, err := sm.DecodeRLCReport(payload)
+		if err != nil {
+			decodeErrors.Inc()
+			return
 		}
+		m.ingestRLC(tc, agent, rep)
+		m.mu.Lock()
+		if cur := m.rlc[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
+			rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
+		}
+		m.rlc[agent] = rep
+		m.mu.Unlock()
 	case sm.IDPDCPStats:
-		if rep, err := sm.DecodePDCPReport(payload); err == nil {
-			m.ingestPDCP(tc, agent, rep)
-			m.mu.Lock()
-			if cur := m.pdcp[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
-				rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
-			}
-			m.pdcp[agent] = rep
-			m.mu.Unlock()
+		rep, err := sm.DecodePDCPReport(payload)
+		if err != nil {
+			decodeErrors.Inc()
+			return
 		}
+		m.ingestPDCP(tc, agent, rep)
+		m.mu.Lock()
+		if cur := m.pdcp[agent]; cur != nil && cur.CellTimeMS == rep.CellTimeMS {
+			rep.UEs = append(cur.UEs[:len(cur.UEs):len(cur.UEs)], rep.UEs...)
+		}
+		m.pdcp[agent] = rep
+		m.mu.Unlock()
 	}
 }
 
-// ingestMAC fans a decoded MAC report into per-UE, per-field series.
+// Field lists of the monitoring SMs' tsdb rows, in report-struct
+// order; ingest passes one per AppendRow call.
+var (
+	macFields  = [...]tsdb.Field{tsdb.FieldCQI, tsdb.FieldMCS, tsdb.FieldRBsUsed, tsdb.FieldTxBits, tsdb.FieldThroughputBps}
+	rlcFields  = [...]tsdb.Field{tsdb.FieldTxPackets, tsdb.FieldTxBytes, tsdb.FieldRxPackets, tsdb.FieldRxBytes, tsdb.FieldDropPackets, tsdb.FieldDropBytes, tsdb.FieldBufferBytes, tsdb.FieldBufferPkts, tsdb.FieldSojournMS}
+	pdcpFields = [...]tsdb.Field{tsdb.FieldTxPackets, tsdb.FieldTxBytes}
+)
+
+// ingestMAC stores a decoded MAC report as one tsdb row per UE.
 func (m *Monitor) ingestMAC(tc trace.Context, agent server.AgentID, rep *sm.MACReport) {
 	if m.db == nil {
 		return
@@ -311,24 +334,15 @@ func (m *Monitor) ingestMAC(tc trace.Context, agent server.AgentID, rep *sm.MACR
 	asp := trace.StartChild(tc, "tsdb.append")
 	defer asp.End()
 	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: sm.IDMACStats}
+	sid := m.seriesID(agent)
 	for i := range rep.UEs {
 		u := &rep.UEs[i]
-		k.UE = u.RNTI
-		k.Field = tsdb.FieldCQI
-		m.db.Append(k, now, float64(u.CQI))
-		k.Field = tsdb.FieldMCS
-		m.db.Append(k, now, float64(u.MCS))
-		k.Field = tsdb.FieldRBsUsed
-		m.db.Append(k, now, float64(u.RBsUsed))
-		k.Field = tsdb.FieldTxBits
-		m.db.Append(k, now, float64(u.TxBits))
-		k.Field = tsdb.FieldThroughputBps
-		m.db.Append(k, now, u.ThroughputBps)
+		vs := [len(macFields)]float64{float64(u.CQI), float64(u.MCS), float64(u.RBsUsed), float64(u.TxBits), u.ThroughputBps}
+		m.db.AppendRow(sid, sm.IDMACStats, u.RNTI, now, macFields[:], vs[:])
 	}
 }
 
-// ingestRLC fans a decoded RLC report into per-UE, per-field series.
+// ingestRLC stores a decoded RLC report as one tsdb row per UE.
 func (m *Monitor) ingestRLC(tc trace.Context, agent server.AgentID, rep *sm.RLCReport) {
 	if m.db == nil {
 		return
@@ -336,32 +350,19 @@ func (m *Monitor) ingestRLC(tc trace.Context, agent server.AgentID, rep *sm.RLCR
 	asp := trace.StartChild(tc, "tsdb.append")
 	defer asp.End()
 	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: sm.IDRLCStats}
+	sid := m.seriesID(agent)
 	for i := range rep.UEs {
 		u := &rep.UEs[i]
-		k.UE = u.RNTI
-		k.Field = tsdb.FieldTxPackets
-		m.db.Append(k, now, float64(u.TxPackets))
-		k.Field = tsdb.FieldTxBytes
-		m.db.Append(k, now, float64(u.TxBytes))
-		k.Field = tsdb.FieldRxPackets
-		m.db.Append(k, now, float64(u.RxPackets))
-		k.Field = tsdb.FieldRxBytes
-		m.db.Append(k, now, float64(u.RxBytes))
-		k.Field = tsdb.FieldDropPackets
-		m.db.Append(k, now, float64(u.DropPackets))
-		k.Field = tsdb.FieldDropBytes
-		m.db.Append(k, now, float64(u.DropBytes))
-		k.Field = tsdb.FieldBufferBytes
-		m.db.Append(k, now, float64(u.BufferBytes))
-		k.Field = tsdb.FieldBufferPkts
-		m.db.Append(k, now, float64(u.BufferPkts))
-		k.Field = tsdb.FieldSojournMS
-		m.db.Append(k, now, float64(u.SojournMS))
+		vs := [len(rlcFields)]float64{
+			float64(u.TxPackets), float64(u.TxBytes), float64(u.RxPackets), float64(u.RxBytes),
+			float64(u.DropPackets), float64(u.DropBytes), float64(u.BufferBytes), float64(u.BufferPkts),
+			float64(u.SojournMS),
+		}
+		m.db.AppendRow(sid, sm.IDRLCStats, u.RNTI, now, rlcFields[:], vs[:])
 	}
 }
 
-// ingestPDCP fans a decoded PDCP report into per-UE, per-field series.
+// ingestPDCP stores a decoded PDCP report as one tsdb row per UE.
 func (m *Monitor) ingestPDCP(tc trace.Context, agent server.AgentID, rep *sm.PDCPReport) {
 	if m.db == nil {
 		return
@@ -369,14 +370,11 @@ func (m *Monitor) ingestPDCP(tc trace.Context, agent server.AgentID, rep *sm.PDC
 	asp := trace.StartChild(tc, "tsdb.append")
 	defer asp.End()
 	now := time.Now().UnixNano()
-	k := tsdb.SeriesKey{Agent: m.seriesID(agent), Fn: sm.IDPDCPStats}
+	sid := m.seriesID(agent)
 	for i := range rep.UEs {
 		u := &rep.UEs[i]
-		k.UE = u.RNTI
-		k.Field = tsdb.FieldTxPackets
-		m.db.Append(k, now, float64(u.TxPackets))
-		k.Field = tsdb.FieldTxBytes
-		m.db.Append(k, now, float64(u.TxBytes))
+		vs := [len(pdcpFields)]float64{float64(u.TxPackets), float64(u.TxBytes)}
+		m.db.AppendRow(sid, sm.IDPDCPStats, u.RNTI, now, pdcpFields[:], vs[:])
 	}
 }
 

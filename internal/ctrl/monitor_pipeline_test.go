@@ -1,6 +1,8 @@
 package ctrl_test
 
 import (
+	"encoding/binary"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"flexric/internal/e2ap"
 	"flexric/internal/ran"
 	"flexric/internal/sm"
+	"flexric/internal/telemetry"
 	"flexric/internal/tsdb"
 )
 
@@ -142,4 +145,73 @@ func TestMonitorEmptyCellHeartbeat(t *testing.T) {
 		rep := mon.MAC(id)
 		return rep != nil && len(rep.UEs) == 0
 	})
+}
+
+// TestMonitorCountsDecodeErrors: a report whose SM payload fails to
+// decode is dropped, and the drop is counted on
+// ctrl.monitor.decode_errors. The agent's MAC function sends one
+// corrupt payload (a flat UE count far beyond the payload's bytes)
+// ahead of its first valid report; both travel the same ingest
+// pipeline in order, so once the valid report is visible the corrupt
+// one has been handled.
+func TestMonitorCountsDecodeErrors(t *testing.T) {
+	if !telemetry.Enabled {
+		t.Skip("telemetry compiled out")
+	}
+	decodeErrors := telemetry.NewCounter("ctrl.monitor.decode_errors")
+	before := decodeErrors.Load()
+
+	s, addr := startSrv(t)
+	mon := ctrl.NewMonitor(s, ctrl.MonitorConfig{
+		Scheme: sm.SchemeFB, PeriodMS: 1, Decode: true, Layers: ctrl.MonMAC,
+		TSDB: tsdb.New(tsdb.Config{Capacity: 16}), IngestWorkers: 1,
+	})
+	defer func() {
+		s.Close()
+		mon.Close()
+	}()
+
+	valid := sm.EncodeMACReport(sm.SchemeFB, &sm.MACReport{CellTimeMS: 1, UEs: []sm.MACUEEntry{{RNTI: 1, CQI: 9}}})
+	corrupt := append([]byte(nil), valid...)
+	// Follow the flat layout after the scheme byte — root position,
+	// root vtable, slot 1's reference — to the UE vector's u32 count.
+	body := corrupt[1:]
+	root := binary.LittleEndian.Uint32(body)
+	vt := binary.LittleEndian.Uint32(body[root:])
+	off := binary.LittleEndian.Uint16(body[vt+4:])
+	vec := binary.LittleEndian.Uint32(body[root+uint32(off):])
+	binary.LittleEndian.PutUint32(body[vec:], 0xFFFFFFFF)
+	if _, err := sm.DecodeMACReport(corrupt); err == nil {
+		t.Fatal("patched payload still decodes")
+	}
+	var sent atomic.Bool
+	mac := sm.NewStatsFunction(sm.IDMACStats, "1.3.6.1.4.1.53148.1.2.2.142",
+		func(agent.ControllerID, int64) [][]byte {
+			if sent.CompareAndSwap(false, true) {
+				return [][]byte{corrupt, valid}
+			}
+			return [][]byte{valid}
+		})
+	a := agent.New(agent.Config{
+		NodeID: e2ap.GlobalE2NodeID{PLMN: e2ap.PLMN{MCC: 208, MNC: 95}, Type: e2ap.NodeENB, NodeID: 1},
+	})
+	if err := a.RegisterFunction(mac); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	await(t, "agent", func() bool { return len(s.Agents()) == 1 })
+	id := s.Agents()[0].ID
+	for now := int64(0); mon.MAC(id) == nil; now++ {
+		if now > 10000 {
+			t.Fatal("no valid MAC report reached the monitor")
+		}
+		mac.Tick(now)
+		time.Sleep(time.Millisecond)
+	}
+	if got := decodeErrors.Load() - before; got != 1 {
+		t.Fatalf("decode_errors went up by %d, want 1", got)
+	}
 }

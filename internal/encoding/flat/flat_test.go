@@ -2,6 +2,7 @@ package flat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -285,5 +286,55 @@ func BenchmarkFieldAccess(b *testing.B) {
 		if tab.Uint64(0) != 99 || tab.Uint32(1) != 7 || len(tab.Bytes(2)) != 256 {
 			b.Fatal("bad read")
 		}
+	}
+}
+
+// TestVectorCountBounded: a vector count larger than the bytes after
+// its header can hold (at 4 bytes per element) is corrupt — VectorLen
+// reports 0 and VectorCount !ok — so no caller can size a slice past
+// the buffer from a crafted count.
+func TestVectorCountBounded(t *testing.T) {
+	b := NewBuilder(128)
+	b.StartTable(1)
+	b.AddUint32(0, 7)
+	e := b.EndTable()
+	vec := b.CreateRefVector([]uint32{e, e})
+	b.StartTable(2)
+	b.AddRef(1, vec)
+	b.Finish(b.EndTable())
+	buf := b.Bytes()
+	tab, err := GetRoot(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := tab.VectorCount(1); n != 2 || !ok {
+		t.Fatalf("valid vector: (%d, %v)", n, ok)
+	}
+	if n, ok := tab.VectorCount(0); n != 0 || !ok {
+		t.Fatalf("absent slot: (%d, %v), want (0, true)", n, ok)
+	}
+	r := tab.ref(1)
+	bound := uint32(len(buf)-int(r)-4) / 4
+	for _, tc := range []struct {
+		count uint32
+		ok    bool
+	}{{bound, true}, {bound + 1, false}, {1 << 31, false}, {0xFFFFFFFF, false}} {
+		binary.LittleEndian.PutUint32(buf[r:], tc.count)
+		n, ok := tab.VectorCount(1)
+		if ok != tc.ok {
+			t.Errorf("count %d: ok = %v, want %v", tc.count, ok, tc.ok)
+		}
+		want := 0
+		if tc.ok {
+			want = int(tc.count)
+		}
+		if n != want || tab.VectorLen(1) != want {
+			t.Errorf("count %d: VectorCount %d, VectorLen %d, want %d", tc.count, n, tab.VectorLen(1), want)
+		}
+	}
+	// A reference pointing outside the buffer is corrupt, not absent.
+	binary.LittleEndian.PutUint32(buf[tab.fieldPos(1):], uint32(len(buf)))
+	if n, ok := tab.VectorCount(1); n != 0 || ok {
+		t.Fatalf("out-of-range ref: (%d, %v), want (0, false)", n, ok)
 	}
 }

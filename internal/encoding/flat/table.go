@@ -136,13 +136,34 @@ func (t Table) SubTable(i int) Table {
 	return Table{buf: t.buf, pos: r}
 }
 
-// VectorLen returns the element count of the vector in slot i, or 0.
+// VectorLen returns the element count of the vector in slot i, or 0
+// when the slot is absent or its vector is corrupt (see VectorCount).
 func (t Table) VectorLen(i int) int {
+	n, _ := t.VectorCount(i)
+	return n
+}
+
+// VectorCount returns the element count of the vector in slot i. ok is
+// false when the slot is present but its vector does not fit the
+// buffer: the reference points outside it, or the count claims more
+// elements than the bytes left after the count can hold at 4 bytes per
+// element (a reference, the smallest element). A caller sizing a slice
+// from the count can therefore never allocate more elements than the
+// buffer has bytes. An absent slot is (0, true).
+func (t Table) VectorCount(i int) (n int, ok bool) {
+	p := t.fieldPos(i)
+	if p == 0 {
+		return 0, true
+	}
 	r := t.ref(i)
 	if r == 0 {
-		return 0
+		return 0, false
 	}
-	return int(binary.LittleEndian.Uint32(t.buf[r:]))
+	c := binary.LittleEndian.Uint32(t.buf[r:])
+	if uint64(c) > uint64(len(t.buf)-int(r)-4)/4 {
+		return 0, false
+	}
+	return int(c), true
 }
 
 // RefVectorAt returns element j of the reference vector in slot i as a

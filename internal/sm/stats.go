@@ -92,7 +92,10 @@ func DecodeMACReport(b []byte) (*MACReport, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		r := &MACReport{CellTimeMS: tab.Int64(0)}
-		n := tab.VectorLen(1)
+		n, ok := tab.VectorCount(1)
+		if !ok {
+			return nil, fmt.Errorf("%w: UE count exceeds payload", ErrBadPayload)
+		}
 		if n > 0 {
 			r.UEs = make([]MACUEEntry, n)
 		}
@@ -239,7 +242,10 @@ func DecodeRLCReport(b []byte) (*RLCReport, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		r := &RLCReport{CellTimeMS: tab.Int64(0)}
-		n := tab.VectorLen(1)
+		n, ok := tab.VectorCount(1)
+		if !ok {
+			return nil, fmt.Errorf("%w: UE count exceeds payload", ErrBadPayload)
+		}
 		if n > 0 {
 			r.UEs = make([]RLCUEEntry, n)
 		}
@@ -362,7 +368,10 @@ func DecodePDCPReport(b []byte) (*PDCPReport, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 		}
 		r := &PDCPReport{CellTimeMS: tab.Int64(0)}
-		n := tab.VectorLen(1)
+		n, ok := tab.VectorCount(1)
+		if !ok {
+			return nil, fmt.Errorf("%w: UE count exceeds payload", ErrBadPayload)
+		}
 		if n > 0 {
 			r.UEs = make([]PDCPUEEntry, n)
 		}

@@ -22,6 +22,24 @@ func BenchmarkTSDBAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkTSDBAppendRow is the monitor's steady-state ingest unit: one
+// warm 5-field MAC row per op — one shard lookup and one row lock for
+// all five samples. scripts/verify.sh gates this at 0 allocs/op across
+// the default, notelemetry, and notrace builds.
+func BenchmarkTSDBAppendRow(b *testing.B) {
+	s := New(Config{Capacity: 4096})
+	fields := []Field{FieldCQI, FieldMCS, FieldRBsUsed, FieldTxBits, FieldThroughputBps}
+	var vs [5]float64
+	s.AppendRow(1, 142, 3, 0, fields, vs[:]) // create the row outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := float64(i)
+		vs = [5]float64{v, v, v, v, v}
+		s.AppendRow(1, 142, 3, int64(i), fields, vs[:])
+	}
+}
+
 // BenchmarkTSDBAppendHooked is BenchmarkTSDBAppend with an append hook
 // registered that mirrors the obs stream hub's delta buffer: a mutex
 // plus a fixed-capacity ring write. scripts/verify.sh gates this at

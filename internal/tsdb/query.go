@@ -54,12 +54,20 @@ type SeriesInfo struct {
 	NewestTS    int64     `json:"newest_ts"`
 }
 
-// lookup returns the series for k, or nil.
+// lookup returns the series for k, or nil: a row lookup plus a field
+// index.
 func (s *Store) lookup(k SeriesKey) *series {
-	sh := s.shardFor(k)
+	rk := rowOf(k)
+	sh := s.shardFor(rk)
 	sh.mu.RLock()
-	se := sh.series[k]
+	r := sh.rows[rk]
 	sh.mu.RUnlock()
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	se := r.find(k.Field, 0)
+	r.mu.Unlock()
 	return se
 }
 
@@ -316,17 +324,16 @@ func (s *Store) Window(k SeriesKey, from, to, step int64) []Bucket {
 func (s *Store) List(agent int64, fn uint16) []SeriesInfo {
 	defer observeQuery(time.Now())
 	var out []SeriesInfo
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, se := range sh.series {
-			if agent >= 0 && k.Agent != uint32(agent) {
-				continue
-			}
-			if fn != 0 && k.Fn != fn {
-				continue
-			}
-			se.mu.Lock()
+	s.eachRow(func(rk rowKey, r *row) {
+		if agent >= 0 && rk.Agent != uint32(agent) {
+			return
+		}
+		if fn != 0 && rk.Fn != fn {
+			return
+		}
+		for _, c := range r.cols {
+			se := c.se
+			k := rk.fieldKey(c.field)
 			info := SeriesInfo{
 				Key:    k,
 				Field:  k.Field.String(),
@@ -347,23 +354,23 @@ func (s *Store) List(agent int64, fn uint16) []SeriesInfo {
 			} else if nc := len(se.chunks); nc > 0 {
 				info.NewestTS = se.chunks[nc-1].lastTS
 			}
-			se.mu.Unlock()
 			out = append(out, info)
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Agent != b.Agent {
-			return a.Agent < b.Agent
-		}
-		if a.Fn != b.Fn {
-			return a.Fn < b.Fn
-		}
-		if a.UE != b.UE {
-			return a.UE < b.UE
-		}
-		return a.Field < b.Field
 	})
+	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
 	return out
+}
+
+// keyLess orders series keys by agent, function, UE, then field.
+func keyLess(a, b SeriesKey) bool {
+	if a.Agent != b.Agent {
+		return a.Agent < b.Agent
+	}
+	if a.Fn != b.Fn {
+		return a.Fn < b.Fn
+	}
+	if a.UE != b.UE {
+		return a.UE < b.UE
+	}
+	return a.Field < b.Field
 }

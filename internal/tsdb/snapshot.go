@@ -102,17 +102,15 @@ func (sw *snapWriter) f64(v float64) { sw.u64(math.Float64bits(v)) }
 func (s *Store) WriteSnapshot(w io.Writer) (int64, error) {
 	// Collect series pointers first so no shard lock is held during
 	// serialization; pointers stay valid even if a shard map mutates.
+	// Rows expand to one record per field series, as format v1 has it.
 	var keys []SeriesKey
 	var sers []*series
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, se := range sh.series {
-			keys = append(keys, k)
-			sers = append(sers, se)
+	s.eachRow(func(rk rowKey, r *row) {
+		for _, c := range r.cols {
+			keys = append(keys, rk.fieldKey(c.field))
+			sers = append(sers, c.se)
 		}
-		sh.mu.RUnlock()
-	}
+	})
 
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
 		return 0, err
@@ -383,15 +381,22 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 	if got := binary.LittleEndian.Uint32(foot[:]); got != sr.crc {
 		return fmt.Errorf("%w: crc mismatch", ErrSnapshotFormat)
 	}
-	// CRC verified — publish.
+	// CRC verified — publish each series into its row.
 	var added int64
 	for i, k := range keys {
-		sh := s.shardFor(k)
+		rk := rowOf(k)
+		sh := s.shardFor(rk)
 		sh.mu.Lock()
-		if _, exists := sh.series[k]; !exists {
+		r := sh.rows[rk]
+		if r == nil {
+			r = &row{}
+			sh.rows[rk] = r
+		}
+		r.mu.Lock()
+		if r.set(k.Field, sers[i]) {
 			added++
 		}
-		sh.series[k] = sers[i]
+		r.mu.Unlock()
 		sh.mu.Unlock()
 	}
 	tel.series.Add(added)

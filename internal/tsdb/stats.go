@@ -30,16 +30,14 @@ type Stats struct {
 	RawPayloadBytes int `json:"raw_payload_bytes"`
 }
 
-// Stats walks every shard and series and returns the store-wide
-// occupancy summary. It takes each series lock briefly; intended for
+// Stats walks every shard, row and series and returns the store-wide
+// occupancy summary. It takes each row lock briefly; intended for
 // the observability endpoint, not hot paths.
 func (s *Store) Stats() Stats {
 	var st Stats
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, se := range sh.series {
-			se.mu.Lock()
+	s.eachRow(func(_ rowKey, r *row) {
+		for _, c := range r.cols {
+			se := c.se
 			st.Series++
 			st.HeadSamples += se.n
 			st.Chunks += len(se.chunks)
@@ -57,8 +55,11 @@ func (s *Store) Stats() Stats {
 				st.Tier2.Capacity += len(se.t2.start)
 				st.Tier2.Samples += se.t2.samples()
 			}
-			se.mu.Unlock()
 		}
+	})
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
 		for _, rs := range sh.raw {
 			rs.mu.Lock()
 			st.RawPayloads += rs.n

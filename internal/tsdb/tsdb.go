@@ -14,21 +14,25 @@
 //
 // # Design
 //
-//   - Lock-striped: series are filed into power-of-two shards by key
-//     hash. A shard's RWMutex guards only its map; each series carries
-//     its own mutex for ring operations, so appends to different series
-//     never serialize on a shard and a long query never blocks ingest
-//     on anything but the one series it reads.
+//   - Row-keyed and lock-striped: the fields of one report row — the
+//     series of one (agent, RAN function, UE) — share one row, and rows
+//     are filed into power-of-two shards by row-key hash. A shard's
+//     RWMutex guards only its map; each row carries one mutex for the
+//     rings of all its fields, so a report row costs one shard RLock,
+//     one map lookup and one lock however many fields it has, appends
+//     to different rows never serialize on a shard, and a long query
+//     blocks ingest only on the one row it reads.
 //   - Bounded: each series is a fixed-capacity ring (Config.Capacity)
 //     with optional age-based retention (Config.MaxAge) pruned lazily
 //     on append and query. Memory is O(series × capacity), independent
 //     of run length.
-//   - Allocation-free at steady state: once a series exists, Append is
-//     a map lookup plus two ring writes — no allocation (gated by
-//     BenchmarkTSDBAppend in scripts/verify.sh). Raw payload archiving
-//     copies into internal/bufpool buffers and recycles the buffer it
-//     overwrites, so a steady indication stream archives without
-//     touching the heap.
+//   - Allocation-free at steady state: once a row's series exist,
+//     AppendRow is a map lookup plus two ring writes per field — no
+//     allocation (gated by BenchmarkTSDBAppend and
+//     BenchmarkTSDBAppendRow in scripts/verify.sh). Raw payload
+//     archiving copies into internal/bufpool buffers and recycles the
+//     buffer it overwrites, so a steady indication stream archives
+//     without touching the heap.
 //
 // # Ownership
 //
@@ -189,9 +193,10 @@ func (c *Config) withDefaults() Config {
 // downsampling tiers. ts and vs are parallel circular buffers: entry i
 // (0 ≤ i < n) lives at (head+i) % cap, oldest first. chunks holds
 // sealed immutable blocks oldest first; t1/t2 are the 1 s / 1 min
-// summary rings (nil when compression is off).
+// summary rings (nil when compression is off). mu points at the mutex
+// of the row the series belongs to.
 type series struct {
-	mu     sync.Mutex
+	mu     *sync.Mutex
 	ts     []int64
 	vs     []float64
 	head   int
@@ -224,14 +229,76 @@ type rawSeries struct {
 	n    int
 }
 
-type shard struct {
-	mu     sync.RWMutex
-	series map[SeriesKey]*series
-	raw    map[rawKey]*rawSeries
+// rowKey identifies one report row: a UE within an agent's RAN
+// function. Every field series of the row hangs off one map entry.
+type rowKey struct {
+	Agent uint32
+	Fn    uint16
+	UE    uint16
 }
 
-// AppendHook observes every stored sample, after it is in the ring. It
-// runs on the ingest hot path under the series lock released — the hook
+// rowOf returns the key of the row holding k's series.
+func rowOf(k SeriesKey) rowKey { return rowKey{Agent: k.Agent, Fn: k.Fn, UE: k.UE} }
+
+// fieldKey returns the key of field f's series in row k.
+func (k rowKey) fieldKey(f Field) SeriesKey {
+	return SeriesKey{Agent: k.Agent, Fn: k.Fn, UE: k.UE, Field: f}
+}
+
+// rowCol is one field of a row and its series.
+type rowCol struct {
+	field Field
+	se    *series
+}
+
+// row holds the field series of one rowKey. mu guards cols and every
+// column's series (each series.mu points at it). dead marks a row that
+// EvictAgent removed from its shard while an append still held it.
+type row struct {
+	mu   sync.Mutex
+	cols []rowCol
+	dead bool
+}
+
+// find returns f's series, or nil. hint is the column f is expected
+// in — its position in the caller's field list — and is checked first,
+// so a row appended with the same field list every report resolves
+// each field without a scan. Caller holds r.mu.
+func (r *row) find(f Field, hint int) *series {
+	if hint < len(r.cols) && r.cols[hint].field == f {
+		return r.cols[hint].se
+	}
+	for i := range r.cols {
+		if r.cols[i].field == f {
+			return r.cols[i].se
+		}
+	}
+	return nil
+}
+
+// set installs se as f's series, replacing any existing one, and
+// reports whether f is a new column. Caller holds r.mu.
+func (r *row) set(f Field, se *series) bool {
+	se.mu = &r.mu
+	for i := range r.cols {
+		if r.cols[i].field == f {
+			r.cols[i].se = se
+			return false
+		}
+	}
+	r.cols = append(r.cols, rowCol{field: f, se: se})
+	return true
+}
+
+type shard struct {
+	mu   sync.RWMutex
+	rows map[rowKey]*row
+	raw  map[rawKey]*rawSeries
+}
+
+// AppendHook observes every stored sample, after it is in the ring:
+// AppendRow calls it once per field, in field-list order, after all of
+// the row's samples are stored and the row lock is released. The hook
 // must not block and must not allocate (the Append ≤1-alloc gate in
 // scripts/verify.sh runs with a hook registered). The obs stream hub
 // uses it to publish live deltas to control-room clients.
@@ -256,7 +323,7 @@ func New(cfg Config) *Store {
 		mask:   uint32(cfg.Shards - 1),
 	}
 	for i := range s.shards {
-		s.shards[i].series = make(map[SeriesKey]*series)
+		s.shards[i].rows = make(map[rowKey]*row)
 		s.shards[i].raw = make(map[rawKey]*rawSeries)
 	}
 	return s
@@ -265,8 +332,9 @@ func New(cfg Config) *Store {
 // Config returns the store's resolved configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-func (s *Store) shardFor(k SeriesKey) *shard {
-	h := k.Agent*0x9e3779b1 ^ uint32(k.Fn)<<16 ^ uint32(k.UE)<<3 ^ uint32(k.Field)
+// shardFor hashes a row key: all fields of one UE live in one shard.
+func (s *Store) shardFor(k rowKey) *shard {
+	h := (k.Agent*0x9e3779b1 ^ uint32(k.Fn)<<16 ^ uint32(k.UE)) * 0x85ebca6b
 	h ^= h >> 13
 	return &s.shards[h&s.mask]
 }
@@ -277,28 +345,81 @@ func (s *Store) shardForRaw(k rawKey) *shard {
 	return &s.shards[h&s.mask]
 }
 
-// Append records one sample. Samples are expected in non-decreasing
-// timestamp order per series; an out-of-order sample is still stored
-// (rings do not re-sort) but age pruning keys off the newest TS seen.
-// Steady-state cost: one shard RLock, one map lookup, one series lock,
-// two ring writes — zero allocations once the series exists.
+// Append records one sample: a one-field AppendRow.
 func (s *Store) Append(k SeriesKey, ts int64, v float64) {
+	f, x := [1]Field{k.Field}, [1]float64{v}
+	s.AppendRow(k.Agent, k.Fn, k.UE, ts, f[:], x[:])
+}
+
+// AppendRow records one report row: sample vs[i] of field fields[i]
+// for the UE ue of agent's RAN function fn, all at ts. The two slices
+// must have equal length; the store keeps neither. Samples are
+// expected in non-decreasing timestamp order per series; an
+// out-of-order sample is still stored (rings do not re-sort) but age
+// pruning keys off the newest TS seen. Steady-state cost: one shard
+// RLock, one map lookup, one row lock, two ring writes per field —
+// zero allocations once the row's series exist.
+func (s *Store) AppendRow(agent uint32, fn, ue uint16, ts int64, fields []Field, vs []float64) {
+	if len(fields) != len(vs) {
+		panic("tsdb: AppendRow fields and values differ in length")
+	}
+	k := rowKey{Agent: agent, Fn: fn, UE: ue}
 	sh := s.shardFor(k)
 	sh.mu.RLock()
-	se := sh.series[k]
+	r := sh.rows[k]
 	sh.mu.RUnlock()
-	if se == nil {
-		se = s.newSeries()
-		sh.mu.Lock()
-		if cur := sh.series[k]; cur != nil {
-			se = cur // lost the race; use the winner
-		} else {
-			sh.series[k] = se
-			tel.series.Add(1)
-		}
-		sh.mu.Unlock()
+	if r == nil {
+		r = s.insertRow(sh, k, fields)
 	}
-	se.mu.Lock()
+	var overwritten uint64
+	r.mu.Lock()
+	for i, f := range fields {
+		se := r.find(f, i)
+		if se == nil {
+			se = s.newSeries()
+			r.set(f, se)
+			if !r.dead {
+				tel.series.Add(1)
+			}
+		}
+		if s.appendLocked(se, ts, vs[i]) {
+			overwritten++
+		}
+	}
+	r.mu.Unlock()
+	tel.appends.Add(uint64(len(fields)))
+	if overwritten > 0 {
+		tel.overwritten.Add(overwritten)
+	}
+	if h := s.hook.Load(); h != nil {
+		for i, f := range fields {
+			(*h)(k.fieldKey(f), ts, vs[i])
+		}
+	}
+}
+
+// insertRow files a row for k in sh with one column per distinct field
+// of fields, or returns the row a concurrent append filed first.
+func (s *Store) insertRow(sh *shard, k rowKey, fields []Field) *row {
+	r := &row{cols: make([]rowCol, 0, len(fields))}
+	for _, f := range fields {
+		if r.find(f, len(r.cols)) == nil {
+			r.set(f, s.newSeries())
+		}
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if cur := sh.rows[k]; cur != nil {
+		return cur // lost the race; use the winner
+	}
+	sh.rows[k] = r
+	tel.series.Add(int64(len(r.cols)))
+	return r
+}
+
+// appendLocked stores one sample in se and reports whether it
+// overwrote the ring's oldest sample. Caller holds se.mu.
+func (s *Store) appendLocked(se *series, ts int64, v float64) (overwrote bool) {
 	c := len(se.ts)
 	if se.n == c {
 		if s.cfg.Compress {
@@ -307,10 +428,14 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 			// Capacity appends — amortized, off the 0-alloc fast path.
 			s.sealLocked(se, ts)
 		} else {
-			// Ring full: overwrite the oldest.
-			se.head = (se.head + 1) % c
+			// Ring full: overwrite the oldest. Wrap by compare, not
+			// modulo: an integer division per field is a measurable
+			// share of a row append.
+			if se.head++; se.head == c {
+				se.head = 0
+			}
 			se.n--
-			tel.overwritten.Inc()
+			overwrote = true
 		}
 	}
 	if s.maxAge > 0 && s.cfg.Compress && se.n > 0 && se.ts[se.head] < ts-s.maxAge {
@@ -319,18 +444,17 @@ func (s *Store) Append(k SeriesKey, ts int64, v float64) {
 		// retention folds it into tiers instead of deleting it.
 		s.sealLocked(se, ts)
 	}
-	i := (se.head + se.n) % c
+	i := se.head + se.n // < 2c: head < c and n < c here
+	if i >= c {
+		i -= c
+	}
 	se.ts[i] = ts
 	se.vs[i] = v
 	se.n++
 	if s.maxAge > 0 && !s.cfg.Compress {
 		se.pruneLocked(ts - s.maxAge)
 	}
-	se.mu.Unlock()
-	tel.appends.Inc()
-	if h := s.hook.Load(); h != nil {
-		(*h)(k, ts, v)
-	}
+	return overwrote
 }
 
 // SetAppendHook installs (or, with nil, removes) the store's append
@@ -345,7 +469,8 @@ func (s *Store) SetAppendHook(h AppendHook) {
 	s.hook.Store(&h)
 }
 
-// newSeries allocates an empty series shaped by the store's config.
+// newSeries allocates an empty series shaped by the store's config. Its
+// mu is bound when the series is installed in a row.
 func (s *Store) newSeries() *series {
 	se := &series{
 		ts: make([]int64, s.cfg.Capacity),
@@ -520,11 +645,15 @@ func (s *Store) EvictAgent(agent uint32) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k := range sh.series {
-			if k.Agent == agent {
-				delete(sh.series, k)
-				evicted++
+		for k, r := range sh.rows {
+			if k.Agent != agent {
+				continue
 			}
+			delete(sh.rows, k)
+			r.mu.Lock()
+			r.dead = true
+			evicted += int64(len(r.cols))
+			r.mu.Unlock()
 		}
 		for k, rs := range sh.raw {
 			if k.Agent != agent {
@@ -552,11 +681,23 @@ func (s *Store) EvictAgent(agent uint32) {
 // NumSeries returns the live scalar-series count across all shards.
 func (s *Store) NumSeries() int {
 	n := 0
+	s.eachRow(func(_ rowKey, r *row) {
+		n += len(r.cols)
+	})
+	return n
+}
+
+// eachRow calls fn for every live row, holding the row's shard read
+// lock and the row lock. fn must not call back into the store.
+func (s *Store) eachRow(fn func(k rowKey, r *row)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.series)
+		for k, r := range sh.rows {
+			r.mu.Lock()
+			fn(k, r)
+			r.mu.Unlock()
+		}
 		sh.mu.RUnlock()
 	}
-	return n
 }

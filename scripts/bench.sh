@@ -71,7 +71,7 @@ run "$HOT_BENCHTIME" ./internal/broker/ 'BenchmarkPublishDeliver$'
 run "$HOT_BENCHTIME" ./internal/resilience/ 'BenchmarkResilienceSendHotPath$'
 
 echo "==> time-series store (append @$MICRO_BENCHTIME, queries @$HOT_BENCHTIME)"
-run "$MICRO_BENCHTIME" ./internal/tsdb/ 'BenchmarkTSDBAppend$|BenchmarkTSDBAppendParallel$|BenchmarkTSDBAppendRaw$'
+run "$MICRO_BENCHTIME" ./internal/tsdb/ 'BenchmarkTSDBAppend$|BenchmarkTSDBAppendRow$|BenchmarkTSDBAppendParallel$|BenchmarkTSDBAppendRaw$'
 run "$HOT_BENCHTIME" ./internal/tsdb/ 'BenchmarkTSDBLastK$|BenchmarkTSDBAggregate$|BenchmarkTSDBWindowQuery$'
 
 echo "==> compression tier (seal/decode @$HOT_BENCHTIME)"

@@ -161,6 +161,30 @@ for tags in "" "notelemetry" "notrace"; do
     fi
 done
 
+echo "==> tsdb row append (0 allocs/op gate, all build modes)"
+# The monitor stores each decoded report as one AppendRow per UE; a warm
+# 5-field MAC row — one shard lookup, one row lock, five ring writes —
+# must not allocate whether telemetry and tracing are compiled in or out.
+for tags in "" "notelemetry" "notrace"; do
+    if [ -n "$tags" ]; then
+        label="-tags $tags"
+        row_out=$(go test -tags "$tags" -run xxx -bench 'BenchmarkTSDBAppendRow$' -benchtime 10000x ./internal/tsdb/ 2>&1)
+    else
+        label="default build"
+        row_out=$(go test -run xxx -bench 'BenchmarkTSDBAppendRow$' -benchtime 10000x ./internal/tsdb/ 2>&1)
+    fi
+    echo "--- $label"
+    echo "$row_out"
+    if ! echo "$row_out" | grep -q 'BenchmarkTSDBAppendRow'; then
+        echo "verify: BenchmarkTSDBAppendRow did not run ($label)" >&2
+        exit 1
+    fi
+    if ! echo "$row_out" | grep 'BenchmarkTSDBAppendRow' | grep -q ' 0 allocs/op'; then
+        echo "verify: tsdb row append allocates ($label)" >&2
+        exit 1
+    fi
+done
+
 echo "==> tsdb append with stream hook registered (<=1 alloc/op gate)"
 # The control-room hub taps every Append through SetAppendHook; the gate
 # proves a registered hook (mutex + ring write, as the hub installs)
